@@ -116,26 +116,12 @@ impl ExperimentConfig {
     /// environment.
     pub fn corpus(&self) -> LabeledCorpus {
         let suite = SyntheticSuite::sample(self.scale, self.suite_seed);
-        match self.env {
-            LabelEnvironment::Simulator => LabeledCorpus::load_or_collect(
-                &suite,
-                &Simulator::default(),
-                self.threads,
-                &self.cache_path,
-            ),
-            LabelEnvironment::Scenario(sc) => LabeledCorpus::load_or_collect_scenario(
-                &suite,
-                sc,
-                self.threads,
-                &self.env_cache_path(),
-            ),
-            env => LabeledCorpus::load_or_collect_native(
-                &suite,
-                env,
-                self.threads,
-                &self.env_cache_path(),
-            ),
-        }
+        LabeledCorpus::load_or_collect_native(
+            &suite,
+            self.env,
+            self.threads,
+            &self.env_cache_path(),
+        )
     }
 }
 
@@ -1109,17 +1095,14 @@ fn scenario_train_part(corpus: &LabeledCorpus) -> LabeledCorpus {
 /// not a storage format, so they get their own study
 /// ([`spgemm_dataflow`]) instead of a row here.
 pub fn cross_scenario(cfg: &ExperimentConfig) -> ExperimentResult {
-    let suite = SyntheticSuite::sample(cfg.scale, cfg.suite_seed);
     let corpora: Vec<(Scenario, LabeledCorpus)> = Scenario::FORMAT_CELLS
         .iter()
         .map(|&sc| {
-            let path = cfg
-                .clone()
-                .with_env(LabelEnvironment::Scenario(sc))
-                .env_cache_path();
             (
                 sc,
-                LabeledCorpus::load_or_collect_scenario(&suite, sc, cfg.threads, &path),
+                cfg.clone()
+                    .with_env(LabelEnvironment::Scenario(sc))
+                    .corpus(),
             )
         })
         .collect();
@@ -1300,17 +1283,14 @@ pub fn cross_scenario_from(
 /// Collect (or load from the env-tagged caches) every SpGEMM scenario
 /// cell's corpus and run the dataflow-selection study on them.
 pub fn spgemm_dataflow(cfg: &ExperimentConfig) -> ExperimentResult {
-    let suite = SyntheticSuite::sample(cfg.scale, cfg.suite_seed);
     let corpora: Vec<(Scenario, LabeledCorpus)> = Scenario::SPGEMM_CELLS
         .iter()
         .map(|&sc| {
-            let path = cfg
-                .clone()
-                .with_env(LabelEnvironment::Scenario(sc))
-                .env_cache_path();
             (
                 sc,
-                LabeledCorpus::load_or_collect_scenario(&suite, sc, cfg.threads, &path),
+                cfg.clone()
+                    .with_env(LabelEnvironment::Scenario(sc))
+                    .corpus(),
             )
         })
         .collect();

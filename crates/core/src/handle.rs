@@ -159,14 +159,6 @@ impl AdvisorHandle {
             }
         }
     }
-
-    /// Answer a whole batch in one model pass. This is what the server's
-    /// micro-batcher drains its queue into: one call, slot-ordered results
-    /// (`out[i]` answers `fvs[i]`), each identical to the one-at-a-time
-    /// [`AdvisorHandle::recommend_features`] answer.
-    pub fn recommend_features_batch(&self, fvs: &[FeatureVector]) -> Vec<RecommendResponse> {
-        fvs.iter().map(|fv| self.recommend_features(fv)).collect()
-    }
 }
 
 fn respond(rec: Recommendation, times: Option<Vec<(Format, f64)>>) -> RecommendResponse {
@@ -284,17 +276,6 @@ mod tests {
             h.recommend_csr(&m).to_json(),
             h.recommend_features(&fv).to_json()
         );
-    }
-
-    #[test]
-    fn batch_matches_one_at_a_time() {
-        let h = AdvisorHandle::heuristic();
-        let m = banded_matrix();
-        let fv = extract(&m);
-        let batch = h.recommend_features_batch(&[fv.clone(), fv.clone()]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0], h.recommend_features(&fv));
-        assert_eq!(batch[0], batch[1]);
     }
 
     #[test]

@@ -16,14 +16,13 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 use spmv_corpus::SyntheticSuite;
 use spmv_features::{extract_with_stats, FeatureVector};
-use spmv_gpusim::{cell_seed, GpuArch, KernelProfile, ProfileCache, Simulator};
-use spmv_matrix::{
-    CsrMatrix, Format, FormatStructure, Precision, RowStats, SparseMatrix, StructureScratch,
-};
+use spmv_gpusim::{cell_seed, GpuArch, KernelProfile, Simulator, SpOp};
+use spmv_matrix::{CsrMatrix, Format, Precision, RowStats, SparseMatrix, StructureScratch};
 use spmv_ml::Executor;
 
 use crate::env::{Env, EnvSpec};
 use crate::faults::{FaultPlan, FaultSite};
+use crate::scenario::OpSource;
 
 /// Number of formats (indexing follows [`Format::ALL`]).
 pub const N_FORMATS: usize = 6;
@@ -200,6 +199,14 @@ pub fn measure_matrix(csr: &CsrMatrix<f64>, sim: &Simulator, noise_seed: u64) ->
 /// injection: every hole in the returned grid has a matching
 /// [`LabelFailure`] explaining it. `name` keys the fault-plan decisions
 /// (and the recorded reasons), so an injected run is reproducible.
+///
+/// This is the SpMV-on-paper-GPUs corner of
+/// [`crate::measure_matrix_op_outcomes_in`], the value-free structural
+/// profiling path: it is byte-identical to
+/// [`measure_matrix_outcomes_reference`] (the retired value-carrying
+/// path, kept as the golden-test oracle) by construction, because the
+/// structural views are bit-equal to the conversions' index arrays and
+/// both paths run the same profiling code over them.
 pub fn measure_matrix_outcomes(
     csr: &CsrMatrix<f64>,
     sim: &Simulator,
@@ -209,85 +216,17 @@ pub fn measure_matrix_outcomes(
 ) -> (CellTimes, Vec<LabelFailure>) {
     let stats = RowStats::of(csr.row_ptr());
     let mut scratch = StructureScratch::new();
-    measure_matrix_outcomes_in(csr, &stats, &mut scratch, sim, noise_seed, name, plan)
-}
-
-/// The structural-profiling hot path: measure every (format, env) cell of
-/// one matrix **without materializing any value plane**. Each format's
-/// index layout is derived into `scratch` as a value-free
-/// [`FormatStructure`] and profiled via [`KernelProfile::of_structure`];
-/// `stats` is the shared single-pass row analysis (the same one that feeds
-/// feature extraction), so `row_ptr` is never re-walked per format.
-///
-/// Byte-identical to [`measure_matrix_outcomes_reference`] (the retired
-/// value-carrying path, kept as the golden-test oracle) by construction:
-/// the structural views are bit-equal to the conversions' index arrays and
-/// both paths run the same profiling code over them.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_matrix_outcomes_in(
-    csr: &CsrMatrix<f64>,
-    stats: &RowStats,
-    scratch: &mut StructureScratch,
-    sim: &Simulator,
-    noise_seed: u64,
-    name: &str,
-    plan: &FaultPlan,
-) -> (CellTimes, Vec<LabelFailure>) {
-    let mut times: CellTimes = [[[None; N_FORMATS]; 2]; 2];
-    let mut failures: Vec<LabelFailure> = Vec::new();
-    // COO and merge-CSR gather through the same row-major column stream;
-    // the cache measures it once for the whole format sweep.
-    let mut cache = ProfileCache::new();
-    for fmt in Format::ALL {
-        let conv_key = format!("{name}/{fmt}");
-        if plan.should_fail(FaultSite::Conversion, &conv_key) {
-            failures.push(LabelFailure {
-                format: Some(fmt),
-                env: None,
-                reason: FaultPlan::reason(FaultSite::Conversion, &conv_key),
-            });
-            continue;
-        }
-        let profile = match FormatStructure::build(csr, fmt, stats, &mut *scratch) {
-            Ok(s) => KernelProfile::of_structure_cached(&s, &mut cache),
-            Err(e) => {
-                // The paper's organic failure case (ELL padding blow-up):
-                // recorded, not fatal. `FormatStructure::build` fails on
-                // exactly the inputs `SparseMatrix::from_csr` does, with
-                // the identical error.
-                failures.push(LabelFailure {
-                    format: Some(fmt),
-                    env: None,
-                    reason: e.to_string(),
-                });
-                continue;
-            }
-        };
-        for (ai, arch) in GpuArch::PAPER_MACHINES.iter().enumerate() {
-            for prec in Precision::ALL {
-                let env = Env {
-                    arch_idx: ai,
-                    precision: prec,
-                };
-                let cell_key = format!("{name}/{fmt}/{}/{}", arch.name, prec.label());
-                if plan.should_fail(FaultSite::Measurement, &cell_key) {
-                    failures.push(LabelFailure {
-                        format: Some(fmt),
-                        env: Some(env),
-                        reason: FaultPlan::reason(FaultSite::Measurement, &cell_key),
-                    });
-                    continue;
-                }
-                let seed = cell_seed(noise_seed, fmt, arch, prec);
-                let meas = sim.measure_profile(&profile, arch, prec, seed);
-                times[ai][prec.idx()][fmt.class_id()] = Some(meas.time_s);
-                spmv_observe::counter("labeling.cells_measured", 1);
-            }
-        }
-    }
-    spmv_observe::counter("gpusim.profile_cache.hits", cache.hits());
-    spmv_observe::counter("gpusim.profile_cache.misses", cache.misses());
-    (times, failures)
+    crate::scenario::measure_matrix_op_outcomes_in(
+        csr,
+        &stats,
+        &mut scratch,
+        sim,
+        SpOp::Spmv,
+        &GpuArch::PAPER_MACHINES,
+        noise_seed,
+        name,
+        plan,
+    )
 }
 
 /// The pre-structural implementation of [`measure_matrix_outcomes`], kept
@@ -350,12 +289,40 @@ pub fn measure_matrix_outcomes_reference(
     (times, failures)
 }
 
-/// The feature block of one record — the shared front half of every
-/// collector's worker body (simulator, native, scenario): injected or
-/// organic extraction failures degrade to a zeroed vector plus a
-/// matrix-wide [`LabelFailure`], and the finite guard keeps NaN/Inf out
-/// of every training set.
-pub(crate) fn worker_features(
+/// One label environment as the labeling engine sees it. Every
+/// environment labels a corpus the same way — generate, row statistics,
+/// features, measure, record — and differs only in its per-worker scratch
+/// and its per-matrix measurement, which is all an implementor supplies.
+/// The simulator sources (SpMV-family ops, SpGEMM dataflows) live in
+/// [`crate::scenario`]; the native CPU source in [`crate::native`].
+pub(crate) trait LabelSource: Sync {
+    /// Per-worker buffers, reused across every matrix the worker labels
+    /// so the steady-state loop allocates (beyond the generated CSR
+    /// itself) only the record it returns.
+    type Scratch: Default;
+
+    /// The environment descriptor stamped on the collected corpus.
+    fn spec(&self) -> EnvSpec;
+
+    /// Measure every cell of one matrix: the time grid, a failure cell
+    /// for every hole in it, and the op-specific extra feature block
+    /// (empty for every source but SpGEMM).
+    fn measure(
+        &self,
+        csr: &CsrMatrix<f64>,
+        stats: &RowStats,
+        scratch: &mut Self::Scratch,
+        noise_seed: u64,
+        name: &str,
+        plan: &FaultPlan,
+    ) -> (CellTimes, Vec<LabelFailure>, Vec<f64>);
+}
+
+/// The feature block of one record: injected or organic extraction
+/// failures degrade to a zeroed vector plus a matrix-wide
+/// [`LabelFailure`], and the finite guard keeps NaN/Inf out of every
+/// training set.
+fn worker_features(
     spec_name: &str,
     csr: &CsrMatrix<f64>,
     stats: &RowStats,
@@ -384,8 +351,8 @@ pub(crate) fn worker_features(
 }
 
 /// The degraded all-failed record a contained worker panic leaves, so
-/// the corpus stays aligned with the suite (shared by every collector).
-pub(crate) fn panic_record(suite: &SyntheticSuite, i: usize, message: &str) -> MatrixRecord {
+/// the corpus stays aligned with the suite.
+fn panic_record(suite: &SyntheticSuite, i: usize, message: &str) -> MatrixRecord {
     spmv_observe::counter("labeling.worker_panics", 1);
     let spec = &suite.specs[i];
     MatrixRecord {
@@ -422,13 +389,32 @@ impl LabeledCorpus {
         threads: usize,
         plan: &FaultPlan,
     ) -> LabeledCorpus {
+        let _collect_span = spmv_observe::span!("labeling/collect", matrices = suite.len() as u64);
+        let source = OpSource {
+            sim,
+            op: SpOp::Spmv,
+            machines: &GpuArch::PAPER_MACHINES,
+            spec: EnvSpec::default(),
+        };
+        Self::collect_from(suite, &source, threads, plan)
+    }
+
+    /// The labeling engine behind every collector: label each matrix of
+    /// `suite` in `source` on `threads` workers, each with its own
+    /// scratch. A worker panic (the injected `worker-panic` fault or a
+    /// genuine one) is contained per matrix and leaves a degraded record,
+    /// so the corpus stays aligned with the suite. Records are a pure
+    /// function of (suite, source, plan): the thread count never changes
+    /// a byte.
+    pub(crate) fn collect_from<S: LabelSource>(
+        suite: &SyntheticSuite,
+        source: &S,
+        threads: usize,
+        plan: &FaultPlan,
+    ) -> LabeledCorpus {
         let n = suite.specs.len();
-        let _collect_span = spmv_observe::span!("labeling/collect", matrices = n as u64);
         let exec = Executor::new(threads.clamp(1, n.max(1)));
-        // One structure scratch per worker, reused across every matrix the
-        // worker labels: in steady state the per-matrix loop allocates
-        // (beyond the generated CSR itself) only the record it returns.
-        let results = exec.try_map_with(n, StructureScratch::new, |scratch, i| {
+        let results = exec.try_map_with(n, S::Scratch::default, |scratch, i| {
             let spec = &suite.specs[i];
             if plan.should_fail(FaultSite::WorkerPanic, &spec.name) {
                 panic!("{}", FaultPlan::reason(FaultSite::WorkerPanic, &spec.name));
@@ -444,8 +430,8 @@ impl LabeledCorpus {
             let stats = RowStats::of(csr.row_ptr());
             let mut failures: Vec<LabelFailure> = Vec::new();
             let features = worker_features(&spec.name, &csr, &stats, plan, &mut failures);
-            let (times, measure_failures) =
-                measure_matrix_outcomes_in(&csr, &stats, scratch, sim, spec.seed, &spec.name, plan);
+            let (times, measure_failures, extra) =
+                source.measure(&csr, &stats, scratch, spec.seed, &spec.name, plan);
             failures.extend(measure_failures);
             spmv_observe::counter("labeling.failures", failures.len() as u64);
             MatrixRecord {
@@ -456,7 +442,7 @@ impl LabeledCorpus {
                 features,
                 times,
                 failures,
-                extra: Vec::new(),
+                extra,
             }
         });
         let records = results
@@ -464,15 +450,13 @@ impl LabeledCorpus {
             .enumerate()
             .map(|(i, r)| match r {
                 Ok(rec) => rec,
-                // Contained worker panic: a degraded all-failed record
-                // keeps the corpus aligned with the suite.
                 Err(p) => panic_record(suite, i, &p.message),
             })
             .collect();
         LabeledCorpus {
             suite_seed: suite.seed,
             model_version: spmv_gpusim::MODEL_VERSION,
-            env_spec: EnvSpec::default(),
+            env_spec: source.spec(),
             records,
         }
     }
@@ -504,20 +488,37 @@ impl LabeledCorpus {
         threads: usize,
         cache: &Path,
     ) -> LabeledCorpus {
-        if cache.exists() {
-            if let Ok(c) = Self::load(cache) {
-                if c.suite_seed == suite.seed
-                    && c.records.len() == suite.len()
-                    && c.model_version == spmv_gpusim::MODEL_VERSION
-                    && c.env_spec.is_simulator()
-                {
-                    spmv_observe::counter("labeling.cache_hits", 1);
-                    return c;
-                }
+        Self::load_or_collect_in(suite, cache, &EnvSpec::default(), true, || {
+            Self::collect(suite, sim, threads)
+        })
+    }
+
+    /// The label-cache protocol behind every `load_or_collect*`: reuse
+    /// `cache` if it holds this suite (seed and length) labeled in the
+    /// environment `spec` describes — so one backend's or scenario cell's
+    /// cache is never silently reused by another — and, when the labels
+    /// are `simulated`, under the current [`spmv_gpusim::MODEL_VERSION`].
+    /// Native labels do not depend on the simulator, so they skip that
+    /// last check. Otherwise run `collect` and rewrite the cache.
+    pub(crate) fn load_or_collect_in(
+        suite: &SyntheticSuite,
+        cache: &Path,
+        spec: &EnvSpec,
+        simulated: bool,
+        collect: impl FnOnce() -> LabeledCorpus,
+    ) -> LabeledCorpus {
+        if let Ok(c) = Self::load(cache) {
+            if c.suite_seed == suite.seed
+                && c.records.len() == suite.len()
+                && c.env_spec == *spec
+                && (!simulated || c.model_version == spmv_gpusim::MODEL_VERSION)
+            {
+                spmv_observe::counter("labeling.cache_hits", 1);
+                return c;
             }
         }
         spmv_observe::counter("labeling.cache_misses", 1);
-        let c = Self::collect(suite, sim, threads);
+        let c = collect();
         if let Some(dir) = cache.parent() {
             let _ = std::fs::create_dir_all(dir);
         }

@@ -73,7 +73,7 @@ pub use online::{
     FeedbackError, FeedbackEvent, FeedbackOutcome, Generation, OnlineAdvisor, OnlineConfig,
     OnlineStatus, Reservoir, ShadowVerdict,
 };
-pub use scenario::{measure_matrix_op_outcomes_in, measure_matrix_spgemm_outcomes_in};
+pub use scenario::measure_matrix_op_outcomes_in;
 
 pub use regress::{
     evaluate_regressor, train_time_predictor, RegModelKind, RegressOutcome, TimePredictor,

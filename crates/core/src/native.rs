@@ -8,10 +8,12 @@
 //! `spmv-exec` kernels through the calibrated [`Harness`]
 //! ([`spmv_exec::ExecMode::Measured`]) or from the deterministic
 //! [`spmv_exec::synthetic_time`] stand-in
-//! ([`spmv_exec::ExecMode::Synthetic`], CI replay). Fault sites,
-//! per-record failure cells, worker-panic containment, and the cache
-//! protocol all mirror the simulator path, so every downstream consumer
-//! (tasks, advisors, experiments) works on a native corpus unchanged.
+//! ([`spmv_exec::ExecMode::Synthetic`], CI replay). This module supplies
+//! the native label source of the shared labeling engine in
+//! [`crate::labels`], so fault sites, per-record failure cells,
+//! worker-panic containment, and the cache protocol are the simulator's
+//! own, and every downstream consumer (tasks, advisors, experiments)
+//! works on a native corpus unchanged.
 
 use std::path::Path;
 
@@ -20,13 +22,10 @@ use spmv_exec::{
     synthetic_time, ExecMode, ExecScratch, Harness, MeasureConfig, PreparedMatrix, SimdKernels,
 };
 use spmv_matrix::{CsrMatrix, Format, MatrixError, Precision, RowStats, Scalar};
-use spmv_ml::Executor;
 
-use crate::env::{Env, LabelEnvironment, CPU_ARCH_LABELS};
+use crate::env::{Env, EnvSpec, LabelEnvironment, CPU_ARCH_LABELS};
 use crate::faults::{FaultPlan, FaultSite};
-use crate::labels::{
-    panic_record, worker_features, CellTimes, LabelFailure, LabeledCorpus, MatrixRecord, N_FORMATS,
-};
+use crate::labels::{CellTimes, LabelFailure, LabelSource, LabeledCorpus, N_FORMATS};
 
 /// Per-worker scratch for native labeling: the exec buffers for both
 /// precisions plus the `x`/`y` product vectors, all reused across every
@@ -127,7 +126,7 @@ fn measure_format_prec<T: SimdKernels>(
 
 /// Measure every (format, arch-tier, precision) cell of one matrix on the
 /// native CPU backend — the counterpart of
-/// [`crate::labels::measure_matrix_outcomes_in`], with the same fault-site
+/// [`crate::measure_matrix_op_outcomes_in`], with the same fault-site
 /// keying (`{name}/{fmt}` for conversion, `{name}/{fmt}/{arch}/{prec}`
 /// for measurement) so existing fault plans replay against either
 /// backend.
@@ -241,6 +240,34 @@ pub fn measure_matrix_native_outcomes_in(
     (times, failures)
 }
 
+/// The native CPU label source: measured kernels or their synthetic
+/// stand-in, as `env` selects.
+struct NativeSource {
+    env: LabelEnvironment,
+}
+
+impl LabelSource for NativeSource {
+    type Scratch = NativeScratch;
+
+    fn spec(&self) -> EnvSpec {
+        self.env.spec()
+    }
+
+    fn measure(
+        &self,
+        csr: &CsrMatrix<f64>,
+        stats: &RowStats,
+        scratch: &mut NativeScratch,
+        _noise_seed: u64,
+        name: &str,
+        plan: &FaultPlan,
+    ) -> (CellTimes, Vec<LabelFailure>, Vec<f64>) {
+        let (times, failures) =
+            measure_matrix_native_outcomes_in(csr, stats, scratch, self.env, name, plan);
+        (times, failures, Vec::new())
+    }
+}
+
 impl LabeledCorpus {
     /// Label every matrix of `suite` on the native CPU backend.
     pub fn collect_native(
@@ -251,13 +278,12 @@ impl LabeledCorpus {
         Self::collect_native_with(suite, env, threads, &FaultPlan::none())
     }
 
-    /// [`LabeledCorpus::collect_native`] under a fault plan, mirroring
-    /// [`LabeledCorpus::collect_with`]: per-worker scratch reuse, panic
-    /// containment, degraded records. Non-native environments delegate to
-    /// their own collectors — [`LabelEnvironment::Simulator`] to the
-    /// simulator path, [`LabelEnvironment::Scenario`] to the op-aware
-    /// scenario path — so callers can dispatch on the environment without
-    /// special-casing.
+    /// [`LabeledCorpus::collect_native`] under a fault plan. Non-native
+    /// environments go to their own collectors —
+    /// [`LabelEnvironment::Simulator`] to [`LabeledCorpus::collect_with`],
+    /// [`LabelEnvironment::Scenario`] to
+    /// [`LabeledCorpus::collect_scenario_with`] — so callers can dispatch
+    /// on the environment without special-casing.
     pub fn collect_native_with(
         suite: &SyntheticSuite,
         env: LabelEnvironment,
@@ -270,79 +296,28 @@ impl LabeledCorpus {
         if env.exec_mode().is_none() {
             return Self::collect_with(suite, &spmv_gpusim::Simulator::default(), threads, plan);
         }
-        let n = suite.specs.len();
-        let _collect_span = spmv_observe::span!("labeling/collect-native", matrices = n as u64);
-        let exec = Executor::new(threads.clamp(1, n.max(1)));
-        let results = exec.try_map_with(n, NativeScratch::new, |scratch, i| {
-            let spec = &suite.specs[i];
-            if plan.should_fail(FaultSite::WorkerPanic, &spec.name) {
-                panic!("{}", FaultPlan::reason(FaultSite::WorkerPanic, &spec.name));
-            }
-            let csr: CsrMatrix<f64> = spec.generate();
-            let _matrix_span = spmv_observe::span!("labeling/matrix", nnz = csr.nnz() as u64);
-            let stats = RowStats::of(csr.row_ptr());
-            let mut failures: Vec<LabelFailure> = Vec::new();
-            let features = worker_features(&spec.name, &csr, &stats, plan, &mut failures);
-            let (times, measure_failures) =
-                measure_matrix_native_outcomes_in(&csr, &stats, scratch, env, &spec.name, plan);
-            failures.extend(measure_failures);
-            spmv_observe::counter("labeling.failures", failures.len() as u64);
-            MatrixRecord {
-                name: spec.name.clone(),
-                bucket: suite.bucket_of[i],
-                family: spec.kind.family().to_string(),
-                shape: (csr.n_rows(), csr.n_cols(), csr.nnz()),
-                features,
-                times,
-                failures,
-                extra: Vec::new(),
-            }
-        });
-        let records = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| match r {
-                Ok(rec) => rec,
-                Err(p) => panic_record(suite, i, &p.message),
-            })
-            .collect();
-        LabeledCorpus {
-            suite_seed: suite.seed,
-            model_version: spmv_gpusim::MODEL_VERSION,
-            env_spec: env.spec(),
-            records,
-        }
+        let _collect_span =
+            spmv_observe::span!("labeling/collect-native", matrices = suite.len() as u64);
+        Self::collect_from(suite, &NativeSource { env }, threads, plan)
     }
 
-    /// Load a native corpus from cache if it matches (suite seed, length,
-    /// and — crucially — the environment descriptor, so a simulator or
-    /// differently-seeded synthetic cache is never silently reused), else
-    /// collect and cache. The gpusim model version is deliberately *not*
-    /// checked: native labels do not depend on the simulator.
+    /// Load a corpus labeled in `env` from cache if it matches (suite
+    /// seed, length, and — crucially — the environment descriptor, so a
+    /// simulator or differently-seeded synthetic cache is never silently
+    /// reused), else collect and cache. Like
+    /// [`LabeledCorpus::collect_native_with`] this takes every
+    /// environment; the gpusim model version is checked only for the
+    /// simulator-backed ones, since native labels do not depend on it.
     pub fn load_or_collect_native(
         suite: &SyntheticSuite,
         env: LabelEnvironment,
         threads: usize,
         cache: &Path,
     ) -> LabeledCorpus {
-        if cache.exists() {
-            if let Ok(c) = Self::load(cache) {
-                if c.suite_seed == suite.seed
-                    && c.records.len() == suite.len()
-                    && c.env_spec == env.spec()
-                {
-                    spmv_observe::counter("labeling.cache_hits", 1);
-                    return c;
-                }
-            }
-        }
-        spmv_observe::counter("labeling.cache_misses", 1);
-        let c = Self::collect_native(suite, env, threads);
-        if let Some(dir) = cache.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let _ = c.save(cache);
-        c
+        let simulated = env.exec_mode().is_none();
+        Self::load_or_collect_in(suite, cache, &env.spec(), simulated, || {
+            Self::collect_native(suite, env, threads)
+        })
     }
 }
 
@@ -350,6 +325,7 @@ impl LabeledCorpus {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::labels::MatrixRecord;
     use spmv_corpus::CorpusScale;
 
     const SYNTH: LabelEnvironment = LabelEnvironment::CpuSynthetic { seed: 17 };

@@ -5,14 +5,15 @@
 //! space — SpMV, SpMM (k ∈ {4, 16}), or iterative-solver repeated
 //! products, over the paper GPUs or the many-core CPU-style presets —
 //! and this module labels a corpus in it through
-//! [`Simulator::measure_profile_op`]. Everything else mirrors the
-//! simulator path exactly: the same structural profiling, the same
-//! fault-site keys (`{name}/{fmt}` for conversion,
-//! `{name}/{fmt}/{arch}/{prec}` for measurement), the same per-cell noise
-//! seeds ([`cell_seed`] deliberately excludes the op), the same
-//! panic-contained parallel collection. That construction makes the
-//! differential anchor provable: the `(Spmv, PaperGpus)` scenario
-//! reproduces [`LabeledCorpus::collect_with`] byte-for-byte.
+//! [`Simulator::measure_profile_op`]. It supplies the two simulator
+//! label sources of the shared labeling engine in [`crate::labels`]:
+//! `OpSource` for the SpMV family and `SpgemmSource` for the SpGEMM
+//! dataflow cells. The plain simulator
+//! corpus is the op source at `(SpMV, paper GPUs)`, so that corner
+//! reproduces the pre-scenario label caches byte-for-byte by construction:
+//! the same structural profiling, the same fault-site keys (`{name}/{fmt}`
+//! for conversion, `{name}/{fmt}/{arch}/{prec}` for measurement) and the
+//! same per-cell noise seeds ([`cell_seed`] deliberately excludes the op).
 
 use std::path::Path;
 
@@ -25,20 +26,21 @@ use spmv_matrix::{
     CsrMatrix, CsrStructure, Format, Precision, RowStats, SpgemmOperand, SpgemmSymbolic,
     StructureScratch,
 };
-use spmv_ml::Executor;
 
-use crate::env::{Env, EnvSpec, Scenario};
+use crate::env::{Env, EnvSpec, LabelEnvironment, Scenario};
 use crate::faults::{FaultPlan, FaultSite};
-use crate::labels::{
-    panic_record, worker_features, CellTimes, LabelFailure, LabeledCorpus, MatrixRecord, N_FORMATS,
-};
+use crate::labels::{CellTimes, LabelFailure, LabelSource, LabeledCorpus, N_FORMATS};
 
 /// Measure every (format, arch, precision) cell of one matrix under a
-/// sparse operation `op` over an explicit machine pair — the op-aware
-/// counterpart of [`crate::labels::measure_matrix_outcomes_in`], and an
-/// exact superset of it: with `op = SpOp::Spmv` and
-/// `machines = &GpuArch::PAPER_MACHINES` every time and failure cell is
-/// bit-identical to the simulator path (the differential tests pin this).
+/// sparse operation `op` over an explicit machine pair, **without
+/// materializing any value plane**: each format's index layout is derived
+/// into `scratch` as a value-free [`spmv_matrix::FormatStructure`] and
+/// profiled via [`KernelProfile::of_structure_cached`]; `stats` is the
+/// shared single-pass row analysis (the same one that feeds feature
+/// extraction), so `row_ptr` is never re-walked per format. With
+/// `op = SpOp::Spmv` and `machines = &GpuArch::PAPER_MACHINES` this is
+/// the simulator's SpMV labeling path (the differential tests pin it
+/// against the value-carrying oracle and the committed caches).
 #[allow(clippy::too_many_arguments)]
 pub fn measure_matrix_op_outcomes_in(
     csr: &CsrMatrix<f64>,
@@ -53,6 +55,8 @@ pub fn measure_matrix_op_outcomes_in(
 ) -> (CellTimes, Vec<LabelFailure>) {
     let mut times: CellTimes = [[[None; N_FORMATS]; 2]; 2];
     let mut failures: Vec<LabelFailure> = Vec::new();
+    // COO and merge-CSR gather through the same row-major column stream;
+    // the cache measures it once for the whole format sweep.
     let mut cache = ProfileCache::new();
     for fmt in Format::ALL {
         let conv_key = format!("{name}/{fmt}");
@@ -67,6 +71,10 @@ pub fn measure_matrix_op_outcomes_in(
         let profile = match spmv_matrix::FormatStructure::build(csr, fmt, stats, &mut *scratch) {
             Ok(s) => KernelProfile::of_structure_cached(&s, &mut cache),
             Err(e) => {
+                // The paper's organic failure case (ELL padding blow-up):
+                // recorded, not fatal. `FormatStructure::build` fails on
+                // exactly the inputs `SparseMatrix::from_csr` does, with
+                // the identical error.
                 failures.push(LabelFailure {
                     format: Some(fmt),
                     env: None,
@@ -105,85 +113,133 @@ pub fn measure_matrix_op_outcomes_in(
     (times, failures)
 }
 
-/// Measure every (dataflow, arch, precision) cell of one SpGEMM — the
-/// dataflow analog of [`measure_matrix_op_outcomes_in`]. One symbolic
-/// pass over the value-free structure feeds all four dataflow models;
-/// dataflow `i` lands in cell-times slot `i` (slots beyond
-/// [`spmv_gpusim::N_DATAFLOWS`] stay empty), so the record/corpus serialization is
-/// shared with the format cells unchanged. Fault keys mirror the format
-/// path with the dataflow label in the format position
-/// (`{name}/{dataflow}` and `{name}/{dataflow}/{arch}/{prec}`); the
-/// symbolic phase itself never fails (it is a pure counting pass), so
+/// The SpMV-family simulator label source: one sparse operation over one
+/// machine pair, recording `spec` verbatim on the corpus.
+pub(crate) struct OpSource<'a> {
+    pub(crate) sim: &'a Simulator,
+    pub(crate) op: SpOp,
+    pub(crate) machines: &'a [GpuArch; 2],
+    pub(crate) spec: EnvSpec,
+}
+
+impl LabelSource for OpSource<'_> {
+    type Scratch = StructureScratch;
+
+    fn spec(&self) -> EnvSpec {
+        self.spec.clone()
+    }
+
+    fn measure(
+        &self,
+        csr: &CsrMatrix<f64>,
+        stats: &RowStats,
+        scratch: &mut StructureScratch,
+        noise_seed: u64,
+        name: &str,
+        plan: &FaultPlan,
+    ) -> (CellTimes, Vec<LabelFailure>, Vec<f64>) {
+        let (times, failures) = measure_matrix_op_outcomes_in(
+            csr,
+            stats,
+            scratch,
+            self.sim,
+            self.op,
+            self.machines,
+            noise_seed,
+            name,
+            plan,
+        );
+        (times, failures, Vec::new())
+    }
+}
+
+/// The SpGEMM simulator label source: one operand shape over one machine
+/// pair. One symbolic pass over the value-free structure feeds all four
+/// dataflow models; dataflow `i` lands in cell-times slot `i` (slots
+/// beyond [`spmv_gpusim::N_DATAFLOWS`] stay empty), so the record/corpus
+/// serialization is shared with the format cells unchanged, and each
+/// record's `extra` carries the symbolic dataflow-feature block. Fault
+/// keys mirror the format path with the dataflow label in the format
+/// position (`{name}/{dataflow}` and `{name}/{dataflow}/{arch}/{prec}`);
+/// the symbolic phase itself never fails (it is a pure counting pass), so
 /// there is no conversion-failure analog outside fault injection.
-/// Returns the dataflow-feature block alongside times and failures.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_matrix_spgemm_outcomes_in(
-    csr: &CsrMatrix<f64>,
-    stats: &RowStats,
-    scratch: &mut StructureScratch,
-    sim: &Simulator,
+struct SpgemmSource<'a> {
+    sim: &'a Simulator,
     operand: SpgemmOperand,
-    machines: &[GpuArch; 2],
-    noise_seed: u64,
-    name: &str,
-    plan: &FaultPlan,
-) -> (CellTimes, Vec<LabelFailure>, Vec<f64>) {
-    let _ = stats; // same signature family as the op path; the symbolic
-                   // pass derives its own row distribution from row_ptr
-    let mut times: CellTimes = [[[None; N_FORMATS]; 2]; 2];
-    let mut failures: Vec<LabelFailure> = Vec::new();
-    let view = CsrStructure {
-        n_rows: csr.n_rows(),
-        n_cols: csr.n_cols(),
-        row_ptr: csr.row_ptr(),
-        col_idx: csr.col_idx(),
-    };
-    // The sampling seed is the matrix seed: deterministic per matrix,
-    // independent of thread count and of the per-cell jitter streams.
-    let sym = SpgemmSymbolic::analyze(view, operand, noise_seed, scratch);
-    let profile = SpgemmProfile::of_symbolic(&sym, csr.nnz());
-    let extra = profile.dataflow_features().to_vec();
-    for df in Dataflow::ALL {
-        let conv_key = format!("{name}/{df}");
-        if plan.should_fail(FaultSite::Conversion, &conv_key) {
-            failures.push(LabelFailure {
-                format: None,
-                env: None,
-                reason: FaultPlan::reason(FaultSite::Conversion, &conv_key),
-            });
-            continue;
-        }
-        for (ai, arch) in machines.iter().enumerate() {
-            for prec in Precision::ALL {
-                let env = Env {
-                    arch_idx: ai,
-                    precision: prec,
-                };
-                let cell_key = format!("{name}/{df}/{}/{}", arch.name, prec.label());
-                if plan.should_fail(FaultSite::Measurement, &cell_key) {
-                    failures.push(LabelFailure {
-                        format: None,
-                        env: Some(env),
-                        reason: FaultPlan::reason(FaultSite::Measurement, &cell_key),
-                    });
-                    continue;
+    machines: &'a [GpuArch; 2],
+    spec: EnvSpec,
+}
+
+impl LabelSource for SpgemmSource<'_> {
+    type Scratch = StructureScratch;
+
+    fn spec(&self) -> EnvSpec {
+        self.spec.clone()
+    }
+
+    fn measure(
+        &self,
+        csr: &CsrMatrix<f64>,
+        _stats: &RowStats,
+        scratch: &mut StructureScratch,
+        noise_seed: u64,
+        name: &str,
+        plan: &FaultPlan,
+    ) -> (CellTimes, Vec<LabelFailure>, Vec<f64>) {
+        let mut times: CellTimes = [[[None; N_FORMATS]; 2]; 2];
+        let mut failures: Vec<LabelFailure> = Vec::new();
+        let view = CsrStructure {
+            n_rows: csr.n_rows(),
+            n_cols: csr.n_cols(),
+            row_ptr: csr.row_ptr(),
+            col_idx: csr.col_idx(),
+        };
+        // The sampling seed is the matrix seed: deterministic per matrix,
+        // independent of thread count and of the per-cell jitter streams.
+        let sym = SpgemmSymbolic::analyze(view, self.operand, noise_seed, scratch);
+        let profile = SpgemmProfile::of_symbolic(&sym, csr.nnz());
+        let extra = profile.dataflow_features().to_vec();
+        for df in Dataflow::ALL {
+            let conv_key = format!("{name}/{df}");
+            if plan.should_fail(FaultSite::Conversion, &conv_key) {
+                failures.push(LabelFailure {
+                    format: None,
+                    env: None,
+                    reason: FaultPlan::reason(FaultSite::Conversion, &conv_key),
+                });
+                continue;
+            }
+            for (ai, arch) in self.machines.iter().enumerate() {
+                for prec in Precision::ALL {
+                    let env = Env {
+                        arch_idx: ai,
+                        precision: prec,
+                    };
+                    let cell_key = format!("{name}/{df}/{}/{}", arch.name, prec.label());
+                    if plan.should_fail(FaultSite::Measurement, &cell_key) {
+                        failures.push(LabelFailure {
+                            format: None,
+                            env: Some(env),
+                            reason: FaultPlan::reason(FaultSite::Measurement, &cell_key),
+                        });
+                        continue;
+                    }
+                    let seed = spgemm_cell_seed(noise_seed, df, arch, prec);
+                    let meas = self.sim.measure_spgemm(&profile, df, arch, prec, seed);
+                    times[ai][prec.idx()][df.class_id()] = Some(meas.time_s);
+                    spmv_observe::counter("labeling.cells_measured", 1);
                 }
-                let seed = spgemm_cell_seed(noise_seed, df, arch, prec);
-                let meas = sim.measure_spgemm(&profile, df, arch, prec, seed);
-                times[ai][prec.idx()][df.class_id()] = Some(meas.time_s);
-                spmv_observe::counter("labeling.cells_measured", 1);
             }
         }
+        (times, failures, extra)
     }
-    (times, failures, extra)
 }
 
 impl LabeledCorpus {
     /// Label every matrix of `suite` under an arbitrary (op, machine-pair)
-    /// cell, recording `env_spec` verbatim on the corpus. This is the
-    /// shared engine behind [`LabeledCorpus::collect_scenario`] and the
-    /// differential tests (which pass `EnvSpec::default()` to reproduce a
-    /// simulator corpus byte-for-byte, serialization included).
+    /// cell, recording `env_spec` verbatim on the corpus. The differential
+    /// tests pass `EnvSpec::default()` to reproduce a simulator corpus
+    /// byte-for-byte, serialization included.
     #[allow(clippy::too_many_arguments)]
     pub fn collect_op_with(
         suite: &SyntheticSuite,
@@ -194,108 +250,15 @@ impl LabeledCorpus {
         plan: &FaultPlan,
         env_spec: EnvSpec,
     ) -> LabeledCorpus {
-        let n = suite.specs.len();
-        let _collect_span = spmv_observe::span!("labeling/collect-scenario", matrices = n as u64);
-        let exec = Executor::new(threads.clamp(1, n.max(1)));
-        let results = exec.try_map_with(n, StructureScratch::new, |scratch, i| {
-            let spec = &suite.specs[i];
-            if plan.should_fail(FaultSite::WorkerPanic, &spec.name) {
-                panic!("{}", FaultPlan::reason(FaultSite::WorkerPanic, &spec.name));
-            }
-            let csr: CsrMatrix<f64> = spec.generate();
-            let _matrix_span = spmv_observe::span!("labeling/matrix", nnz = csr.nnz() as u64);
-            let stats = RowStats::of(csr.row_ptr());
-            let mut failures: Vec<LabelFailure> = Vec::new();
-            let features = worker_features(&spec.name, &csr, &stats, plan, &mut failures);
-            let (times, measure_failures) = measure_matrix_op_outcomes_in(
-                &csr, &stats, scratch, sim, op, machines, spec.seed, &spec.name, plan,
-            );
-            failures.extend(measure_failures);
-            spmv_observe::counter("labeling.failures", failures.len() as u64);
-            MatrixRecord {
-                name: spec.name.clone(),
-                bucket: suite.bucket_of[i],
-                family: spec.kind.family().to_string(),
-                shape: (csr.n_rows(), csr.n_cols(), csr.nnz()),
-                features,
-                times,
-                failures,
-                extra: Vec::new(),
-            }
-        });
-        let records = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| match r {
-                Ok(rec) => rec,
-                Err(p) => panic_record(suite, i, &p.message),
-            })
-            .collect();
-        LabeledCorpus {
-            suite_seed: suite.seed,
-            model_version: spmv_gpusim::MODEL_VERSION,
-            env_spec,
-            records,
-        }
-    }
-
-    /// Label every matrix of `suite` under an SpGEMM operand shape over
-    /// an explicit machine pair — the dataflow counterpart of
-    /// [`LabeledCorpus::collect_op_with`]. The class label lives in cell
-    /// slots `0..N_DATAFLOWS` and each record's `extra` carries the
-    /// symbolic dataflow-feature block.
-    pub fn collect_spgemm_with(
-        suite: &SyntheticSuite,
-        sim: &Simulator,
-        operand: SpgemmOperand,
-        machines: &'static [GpuArch; 2],
-        threads: usize,
-        plan: &FaultPlan,
-        env_spec: EnvSpec,
-    ) -> LabeledCorpus {
-        let n = suite.specs.len();
-        let _collect_span = spmv_observe::span!("labeling/collect-spgemm", matrices = n as u64);
-        let exec = Executor::new(threads.clamp(1, n.max(1)));
-        let results = exec.try_map_with(n, StructureScratch::new, |scratch, i| {
-            let spec = &suite.specs[i];
-            if plan.should_fail(FaultSite::WorkerPanic, &spec.name) {
-                panic!("{}", FaultPlan::reason(FaultSite::WorkerPanic, &spec.name));
-            }
-            let csr: CsrMatrix<f64> = spec.generate();
-            let _matrix_span = spmv_observe::span!("labeling/matrix", nnz = csr.nnz() as u64);
-            let stats = RowStats::of(csr.row_ptr());
-            let mut failures: Vec<LabelFailure> = Vec::new();
-            let features = worker_features(&spec.name, &csr, &stats, plan, &mut failures);
-            let (times, measure_failures, extra) = measure_matrix_spgemm_outcomes_in(
-                &csr, &stats, scratch, sim, operand, machines, spec.seed, &spec.name, plan,
-            );
-            failures.extend(measure_failures);
-            spmv_observe::counter("labeling.failures", failures.len() as u64);
-            MatrixRecord {
-                name: spec.name.clone(),
-                bucket: suite.bucket_of[i],
-                family: spec.kind.family().to_string(),
-                shape: (csr.n_rows(), csr.n_cols(), csr.nnz()),
-                features,
-                times,
-                failures,
-                extra,
-            }
-        });
-        let records = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| match r {
-                Ok(rec) => rec,
-                Err(p) => panic_record(suite, i, &p.message),
-            })
-            .collect();
-        LabeledCorpus {
-            suite_seed: suite.seed,
-            model_version: spmv_gpusim::MODEL_VERSION,
-            env_spec,
-            records,
-        }
+        let _collect_span =
+            spmv_observe::span!("labeling/collect-scenario", matrices = suite.len() as u64);
+        let source = OpSource {
+            sim,
+            op,
+            machines,
+            spec: env_spec,
+        };
+        Self::collect_from(suite, &source, threads, plan)
     }
 
     /// Label every matrix of `suite` in one scenario cell.
@@ -312,31 +275,29 @@ impl LabeledCorpus {
         threads: usize,
         plan: &FaultPlan,
     ) -> LabeledCorpus {
-        match sc.op.spmv_op() {
-            Some(op) => Self::collect_op_with(
+        let sim = Simulator::default();
+        if let Some(op) = sc.op.spmv_op() {
+            return Self::collect_op_with(
                 suite,
-                &Simulator::default(),
+                &sim,
                 op,
                 sc.machines(),
                 threads,
                 plan,
                 EnvSpec::scenario(sc),
-            ),
-            None => {
-                // Non-SpMV cells are SpGEMM by construction of ScenarioOp;
-                // degrade to A·A if a future op forgets its operand.
-                let operand = sc.op.spgemm_operand().unwrap_or(SpgemmOperand::AA);
-                Self::collect_spgemm_with(
-                    suite,
-                    &Simulator::default(),
-                    operand,
-                    sc.machines(),
-                    threads,
-                    plan,
-                    EnvSpec::scenario(sc),
-                )
-            }
+            );
         }
+        let _collect_span =
+            spmv_observe::span!("labeling/collect-spgemm", matrices = suite.len() as u64);
+        let source = SpgemmSource {
+            sim: &sim,
+            // Non-SpMV cells are SpGEMM by construction of ScenarioOp;
+            // degrade to A·A if a future op forgets its operand.
+            operand: sc.op.spgemm_operand().unwrap_or(SpgemmOperand::AA),
+            machines: sc.machines(),
+            spec: EnvSpec::scenario(sc),
+        };
+        Self::collect_from(suite, &source, threads, plan)
     }
 
     /// Load a scenario corpus from cache if it matches (suite seed,
@@ -349,25 +310,7 @@ impl LabeledCorpus {
         threads: usize,
         cache: &Path,
     ) -> LabeledCorpus {
-        if cache.exists() {
-            if let Ok(c) = Self::load(cache) {
-                if c.suite_seed == suite.seed
-                    && c.records.len() == suite.len()
-                    && c.model_version == spmv_gpusim::MODEL_VERSION
-                    && c.env_spec == EnvSpec::scenario(sc)
-                {
-                    spmv_observe::counter("labeling.cache_hits", 1);
-                    return c;
-                }
-            }
-        }
-        spmv_observe::counter("labeling.cache_misses", 1);
-        let c = Self::collect_scenario(suite, sc, threads);
-        if let Some(dir) = cache.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let _ = c.save(cache);
-        c
+        Self::load_or_collect_native(suite, LabelEnvironment::Scenario(sc), threads, cache)
     }
 }
 

@@ -3,7 +3,7 @@
 //! Usage:
 //!   spmv-serve [--model <advisor.json>] [--addr HOST:PORT]
 //!              [--workers N] [--queue-depth N] [--cache-capacity N]
-//!              [--max-body-bytes N] [--read-timeout-ms N] [--max-batch N]
+//!              [--max-body-bytes N] [--read-timeout-ms N]
 //!              [--keep-alive-max N] [--idle-timeout-ms N]
 //!              [--online-retrain-after N] [--online-reservoir N]
 //!              [--online-canary-window N] [--online-agree-pct N]
@@ -63,7 +63,7 @@ const EXIT_BIND: u8 = 5;
 
 const USAGE: &str = "usage: spmv-serve [--model <advisor.json>] [--addr HOST:PORT] \
                      [--workers N] [--queue-depth N] [--cache-capacity N] \
-                     [--max-body-bytes N] [--read-timeout-ms N] [--max-batch N] \
+                     [--max-body-bytes N] [--read-timeout-ms N] \
                      [--keep-alive-max N] [--idle-timeout-ms N] \
                      [--handler-delay-ms N] [--online-retrain-after N] \
                      [--online-reservoir N] [--online-canary-window N] \
@@ -116,7 +116,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Opts>, String
             "--cache-capacity" => config.cache_capacity = number(&a, args.next())?,
             "--max-body-bytes" => config.max_body_bytes = number(&a, args.next())?,
             "--read-timeout-ms" => config.read_timeout_ms = number(&a, args.next())? as u64,
-            "--max-batch" => config.max_batch = number(&a, args.next())?.max(1),
             "--keep-alive-max" => config.keep_alive_max_requests = number(&a, args.next())?.max(1),
             "--idle-timeout-ms" => config.idle_timeout_ms = number(&a, args.next())? as u64,
             "--handler-delay-ms" => config.handler_delay_ms = number(&a, args.next())? as u64,

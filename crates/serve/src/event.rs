@@ -454,8 +454,13 @@ pub(crate) fn shard_loop(shared: Arc<Shared>, listener: Arc<TcpListener>, stats:
 impl Shard {
     /// Stop accepting and shut idle sessions; in-flight work continues
     /// (bounded by its deadlines) so admitted requests still complete.
+    /// Before the listener is disarmed the kernel backlog is drained: a
+    /// connection whose handshake finished before shutdown began is
+    /// admitted (or answered `503` over the cap) like any other, never
+    /// left for the listener's close to reset.
     fn enter_shutdown(&mut self) {
         if self.listener_armed {
+            while self.accept_burst(Instant::now()) {}
             self.ep.remove(&*self.listener);
             self.listener_armed = false;
         }
@@ -525,13 +530,19 @@ impl Shard {
         }
     }
 
-    fn accept_burst(&mut self, now: Instant) {
+    /// Accept up to [`ACCEPT_BATCH`] backlogged connections. Returns
+    /// whether more may be waiting: the burst ended at its cap, not at
+    /// `WouldBlock`, and accepted something (a burst of nothing but
+    /// errors reports the backlog done rather than spin on them).
+    fn accept_burst(&mut self, now: Instant) -> bool {
+        let mut accepted_any = false;
         for _ in 0..ACCEPT_BATCH {
             let stream = match self.listener.accept() {
                 Ok((stream, _peer)) => stream,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
                 Err(_) => continue, // aborted handshake etc.; keep accepting
             };
+            accepted_any = true;
             self.stats.accepted.fetch_add(1, Ordering::Relaxed);
             let _nb = stream.set_nonblocking(true);
             let _nd = stream.set_nodelay(true);
@@ -560,6 +571,7 @@ impl Shard {
                 }
             }
         }
+        accepted_any
     }
 
     /// Over the admission cap: answer `503 Retry-After: 1` immediately

@@ -32,8 +32,6 @@
 //!   request content in key-hash shards (fixed count, deliberately not
 //!   tied to the worker shard count); concurrent identical requests
 //!   collapse to one model pass.
-//! - **Micro-batching** ([`batch`]) — feature-vector requests queue into
-//!   a leader–follower batcher that drains them through one batch call.
 //! - **Observability** — every stage runs under `spmv-observe` spans and
 //!   counters chosen so the manifest's deterministic section is a pure
 //!   function of the request mix at any shard count and any keep-alive
@@ -44,7 +42,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 mod epoll;
 mod event;
@@ -65,7 +62,6 @@ use spmv_core::{
 use spmv_features::{FeatureVector, FEATURE_COUNT};
 use spmv_matrix::Format;
 
-use crate::batch::Batcher;
 use crate::cache::{Lookup, ResponseCache};
 use crate::event::ShardStats;
 use crate::http::{error_body, Limits, ProtocolError, Request};
@@ -91,8 +87,6 @@ pub struct ServerConfig {
     /// Socket read/write timeout per connection (ms); a stalled client
     /// gets `408` instead of pinning a worker.
     pub read_timeout_ms: u64,
-    /// Most feature-vector jobs drained per model pass.
-    pub max_batch: usize,
     /// Artificial per-request handling delay (ms). Zero in production;
     /// tests use it to make queue saturation reproducible.
     pub handler_delay_ms: u64,
@@ -120,7 +114,6 @@ impl Default for ServerConfig {
             max_body_bytes: 8 * 1024 * 1024,
             max_header_bytes: 16 * 1024,
             read_timeout_ms: 5_000,
-            max_batch: 8,
             handler_delay_ms: 0,
             enable_admin_shutdown: false,
             keep_alive_max_requests: 1024,
@@ -133,7 +126,6 @@ impl Default for ServerConfig {
 struct Shared {
     online: OnlineAdvisor,
     cache: ResponseCache,
-    batcher: Batcher,
     config: ServerConfig,
     limits: Limits,
     /// Set when the server should stop accepting; the acceptor re-checks
@@ -165,7 +157,6 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             cache: ResponseCache::new(config.cache_capacity),
-            batcher: Batcher::new(config.max_batch),
             online: OnlineAdvisor::new(handle, config.online.clone()),
             limits,
             stop: AtomicBool::new(false),
@@ -229,6 +220,13 @@ impl Server {
     /// (bounded by their deadlines), join every shard, and publish the
     /// scheduling stats into the manifest's timing section. Idempotent
     /// with respect to an admin shutdown already in progress.
+    ///
+    /// Backlog policy: every connection whose TCP handshake completed
+    /// before this call — even one still in the kernel's accept queue —
+    /// is accepted before the listener closes, then served like any
+    /// admitted connection, or answered `503` if its shard is over the
+    /// admission cap. Only connections that arrive after the shards stop
+    /// listening are refused.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Shards notice the flag within one epoll tick; no wake-up poke
@@ -563,7 +561,7 @@ fn recommend_features(shared: &Shared, body: &[u8]) -> Routed {
         Lookup::Miss(reservation) => {
             let response = {
                 let _span = spmv_observe::span("serve/request/model");
-                shared.batcher.submit(&snapshot, fv.clone())
+                snapshot.handle.recommend_features(&fv)
             };
             online_observe(shared, &snapshot, &response, |candidate| {
                 candidate.handle.recommend_features(&fv).format

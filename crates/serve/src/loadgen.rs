@@ -427,6 +427,17 @@ pub fn http_roundtrip(
     target: &str,
     body: &[u8],
 ) -> std::io::Result<(u16, Vec<u8>)> {
+    read_response(send_request(addr, method, target, body)?)
+}
+
+/// The first half of [`http_roundtrip`]: connect and write the whole
+/// request, returning the stream to read the answer from.
+pub fn send_request(
+    addr: &str,
+    method: &str,
+    target: &str,
+    body: &[u8],
+) -> std::io::Result<TcpStream> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
@@ -437,6 +448,12 @@ pub fn http_roundtrip(
     req.push_str("Connection: close\r\n\r\n");
     stream.write_all(req.as_bytes())?;
     stream.write_all(body)?;
+    Ok(stream)
+}
+
+/// The second half of [`http_roundtrip`]: read the answer to the end of
+/// the connection. Returns `(status, body)`.
+pub fn read_response(mut stream: TcpStream) -> std::io::Result<(u16, Vec<u8>)> {
     let mut raw = Vec::new();
     // A late RST (server closed with unread data) can error the tail of
     // the read; any complete response already received still counts.

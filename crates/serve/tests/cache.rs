@@ -142,6 +142,11 @@ fn zero_capacity_disables_caching_but_not_correctness() {
 
 #[test]
 fn corrupt_artifact_boots_heuristic_and_serves() {
+    // Its cache miss bumps the process-global counters the tests above
+    // assert exact deltas of, so it takes the same lock.
+    let _guard = COUNTER_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let path = std::env::temp_dir().join(format!(
         "spmv_serve_corrupt_artifact_{}.json",
         std::process::id()

@@ -12,7 +12,7 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use common::{spawn, tiny_handle};
 use spmv_core::AdvisorHandle;
@@ -203,7 +203,10 @@ fn saturated_queue_sheds_503_without_dropping_admitted_work() {
 #[test]
 fn graceful_shutdown_completes_queued_requests() {
     // Admitted work survives shutdown: queue several slow requests, call
-    // shutdown while they are pending, and require every one to finish.
+    // shutdown once every client has written its request, and require
+    // every one to finish. A client may still sit in the kernel backlog
+    // at that point; shutdown accepts the backlog before it stops
+    // listening, so it is answered too.
     let server = spawn(
         ServerConfig {
             workers: 2,
@@ -214,19 +217,25 @@ fn graceful_shutdown_completes_queued_requests() {
         AdvisorHandle::heuristic(),
     );
     let addr = Arc::new(server.addr().to_string());
-    let clients: Vec<_> = (0..6)
+    const CLIENTS: usize = 6;
+    let written = Arc::new(Barrier::new(CLIENTS + 1));
+    let clients: Vec<_> = (0..CLIENTS)
         .map(|i| {
             let addr = Arc::clone(&addr);
+            let written = Arc::clone(&written);
             std::thread::spawn(move || {
                 let body = banded_mm(40 + i, 1);
-                loadgen::http_roundtrip(&addr, "POST", "/v1/recommend", &body)
+                let sent = loadgen::send_request(&addr, "POST", "/v1/recommend", &body);
+                // Reach the barrier even on a failed write, so the main
+                // thread never waits forever; the status then reads 0.
+                written.wait();
+                sent.and_then(loadgen::read_response)
                     .map(|(status, _)| status)
                     .unwrap_or(0)
             })
         })
         .collect();
-    // Give the clients a moment to be accepted, then shut down under them.
-    std::thread::sleep(std::time::Duration::from_millis(40));
+    written.wait();
     server.shutdown();
     let statuses: Vec<u16> = clients.into_iter().map(|c| c.join().unwrap()).collect();
     assert!(

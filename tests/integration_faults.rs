@@ -6,8 +6,8 @@
 //! still yields a corpus the downstream pipeline can train and evaluate on.
 
 use spmv_core::{
-    read_matrix_market_file_with, Env, FaultPlan, FaultSite, FormatAdvisor, LabelOutcome,
-    LabeledCorpus, Recommendation, RecommendationSource, SearchBudget,
+    read_matrix_market_file_with, Env, FaultPlan, FaultSite, FormatAdvisor, LabelEnvironment,
+    LabelOutcome, LabeledCorpus, Recommendation, RecommendationSource, SearchBudget,
 };
 use spmv_corpus::{CorpusScale, GenKind, MatrixSpec, SyntheticSuite};
 use spmv_gpusim::Simulator;
@@ -153,15 +153,32 @@ fn fault_injection_is_deterministic_across_thread_counts() {
     let plan = FaultPlan::new(5)
         .inject(FaultSite::Conversion, 0.2)
         .inject(FaultSite::WorkerPanic, 0.15);
-    let sim = Simulator::default();
-    let a = LabeledCorpus::collect_with(&suite, &sim, 1, &plan);
-    let b = LabeledCorpus::collect_with(&suite, &sim, 4, &plan);
-    let c = LabeledCorpus::collect_with(&suite, &sim, 7, &plan);
-    for ((ra, rb), rc) in a.records.iter().zip(&b.records).zip(&c.records) {
-        assert_eq!(ra.times, rb.times);
-        assert_eq!(ra.failures, rb.failures);
-        assert_eq!(ra.times, rc.times);
-        assert_eq!(ra.failures, rc.failures);
+    // Every label source runs through the one labeling loop: worker-panic
+    // containment and thread-count invariance must hold for each.
+    for env in [
+        LabelEnvironment::Simulator,
+        LabelEnvironment::parse("gpu-spmm4").expect("SpMV-family scenario cell"),
+        LabelEnvironment::parse("mc-spgemm-aat").expect("SpGEMM scenario cell"),
+        LabelEnvironment::CpuSynthetic { seed: 17 },
+    ] {
+        let tag = env.tag();
+        let a = LabeledCorpus::collect_native_with(&suite, env, 1, &plan);
+        let b = LabeledCorpus::collect_native_with(&suite, env, 4, &plan);
+        let c = LabeledCorpus::collect_native_with(&suite, env, 7, &plan);
+        assert_eq!(a.records.len(), suite.len(), "{tag}");
+        for ((ra, rb), rc) in a.records.iter().zip(&b.records).zip(&c.records) {
+            assert_eq!(ra.times, rb.times, "{tag}");
+            assert_eq!(ra.failures, rb.failures, "{tag}");
+            assert_eq!(ra.times, rc.times, "{tag}");
+            assert_eq!(ra.failures, rc.failures, "{tag}");
+        }
+        assert!(
+            a.records
+                .iter()
+                .flat_map(|r| &r.failures)
+                .any(|f| f.reason.starts_with("label worker panicked")),
+            "{tag}: the plan must panic some worker"
+        );
     }
 }
 
