@@ -273,7 +273,7 @@ pub(crate) struct Artifact {
 
 impl Artifact {
     /// The recorded kind, with the pre-dataflow default made explicit.
-    pub(crate) fn kind_or_default(&self) -> &str {
+    fn kind_or_default(&self) -> &str {
         if self.kind.is_empty() {
             ARTIFACT_KIND_FORMAT
         } else {
@@ -281,11 +281,70 @@ impl Artifact {
         }
     }
 
-    /// Validate everything kind-independent about the envelope: magic,
-    /// envelope version, checksum, GPU-model staleness — in that pinned
-    /// order. Kind and arity stay with the per-kind loaders (the payload
-    /// must be parsed to know the expected arity).
-    pub(crate) fn validate_common(&self) -> Result<(), ArtifactError> {
+    /// Serialize `advisor` as the payload of a fresh envelope of `kind`
+    /// and return the envelope bytes.
+    pub(crate) fn seal<A: serde::Serialize>(
+        advisor: &A,
+        kind: &str,
+        model_version: u32,
+        feature_arity: u32,
+    ) -> Result<Vec<u8>, ArtifactError> {
+        let payload =
+            serde_json::to_string(advisor).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
+        let artifact = Artifact {
+            magic: ARTIFACT_MAGIC.to_string(),
+            artifact_version: ARTIFACT_VERSION,
+            model_version,
+            feature_arity,
+            kind: kind.to_string(),
+            checksum: checksum_of(&payload),
+            payload,
+        };
+        serde_json::to_string(&artifact)
+            .map(String::into_bytes)
+            .map_err(|e| ArtifactError::Malformed(e.to_string()))
+    }
+
+    /// Validate envelope bytes and deserialize the advisor of `kind` they
+    /// carry, returning the verified checksum alongside it. Check order
+    /// is pinned: [`Artifact::validate_common`], then the kind gate, then
+    /// payload parse and the arity gate, where `arity` gives the input
+    /// width the parsed advisor consumes.
+    pub(crate) fn open<A: serde::Deserialize>(
+        bytes: &[u8],
+        kind: &'static str,
+        arity: impl FnOnce(&A) -> u32,
+    ) -> Result<(A, String), ArtifactError> {
+        let text = std::str::from_utf8(bytes)
+            .map_err(|e| ArtifactError::Malformed(format!("not utf-8: {e}")))?;
+        let artifact = Artifact::parse(text)?;
+        artifact.validate_common()?;
+        if artifact.kind_or_default() != kind {
+            return Err(ArtifactError::KindMismatch {
+                artifact: artifact.kind_or_default().to_string(),
+                expected: kind,
+            });
+        }
+        let advisor: A = serde_json::from_str(&artifact.payload)
+            .map_err(|e| ArtifactError::Malformed(e.to_string()))?;
+        let expected = arity(&advisor);
+        if artifact.feature_arity != expected {
+            return Err(ArtifactError::FeatureArityMismatch {
+                artifact: artifact.feature_arity,
+                expected,
+            });
+        }
+        Ok((advisor, artifact.checksum))
+    }
+
+    /// Parse envelope text without validating it.
+    fn parse(text: &str) -> Result<Artifact, ArtifactError> {
+        serde_json::from_str(text).map_err(|e| ArtifactError::Malformed(e.to_string()))
+    }
+
+    /// Validate the envelope's integrity: magic, envelope version and
+    /// checksum, in that order.
+    fn validate_integrity(&self) -> Result<(), ArtifactError> {
         if self.magic != ARTIFACT_MAGIC {
             return Err(ArtifactError::WrongMagic(self.magic.clone()));
         }
@@ -299,6 +358,15 @@ impl Artifact {
                 found,
             });
         }
+        Ok(())
+    }
+
+    /// Validate everything kind-independent about the envelope: magic,
+    /// envelope version, checksum, GPU-model staleness — in that pinned
+    /// order. Kind and arity are checked by [`Artifact::open`] (the payload
+    /// must be parsed to know the expected arity).
+    fn validate_common(&self) -> Result<(), ArtifactError> {
+        self.validate_integrity()?;
         if self.model_version != spmv_gpusim::MODEL_VERSION {
             return Err(ArtifactError::StaleModel {
                 artifact: self.model_version,
@@ -311,6 +379,21 @@ impl Artifact {
 
 pub(crate) fn checksum_of(payload: &str) -> String {
     format!("{:016x}", fnv1a_64(&[payload.as_bytes()]))
+}
+
+/// The advisors' selection model: the paper's winning XGBoost
+/// configuration at the given search budget. Shared by the format and
+/// dataflow advisors and the extension experiments.
+pub(crate) fn advisor_gbt(budget: SearchBudget) -> GbtClassifier {
+    GbtClassifier::new(GbtParams {
+        n_estimators: match budget {
+            SearchBudget::Quick => 60,
+            SearchBudget::Paper => 200,
+        },
+        max_depth: 6,
+        learning_rate: 0.1,
+        ..GbtParams::default()
+    })
 }
 
 /// A trained format advisor for one environment. Serializable: train once
@@ -341,40 +424,7 @@ impl FormatAdvisor {
     /// ensemble over the same features (+ format one-hot) for timing.
     pub fn train(corpus: &LabeledCorpus, env: Env, budget: SearchBudget) -> FormatAdvisor {
         let _span = spmv_observe::span!("advisor/train", corpus = corpus.records.len() as u64);
-        let set = FeatureSet::Important;
-        let formats = Format::ALL.to_vec();
-
-        let ctask = ClassificationTask::build(corpus, env, &formats, set, true);
-        let mut classifier = GbtClassifier::new(GbtParams {
-            n_estimators: match budget {
-                SearchBudget::Quick => 60,
-                SearchBudget::Paper => 200,
-            },
-            max_depth: 6,
-            learning_rate: 0.1,
-            ..GbtParams::default()
-        });
-        classifier.fit(&ctask.x, &ctask.y, formats.len());
-
-        let rtask = RegressionTask::build(corpus, env, &formats, set);
-        let all: Vec<usize> = (0..rtask.len()).collect();
-        let predictor = train_time_predictor(
-            RegModelKind::MlpEnsemble,
-            &rtask,
-            &all,
-            budget,
-            corpus.suite_seed,
-        );
-
-        FormatAdvisor {
-            env,
-            set,
-            formats,
-            classifier,
-            predictor,
-            model_version: corpus.model_version,
-            scenario_extra: Vec::new(),
-        }
+        Self::train_with_extra(corpus, env, budget, Vec::new())
     }
 
     /// Train on a scenario-labeled corpus for one `(scenario, env)` cell,
@@ -393,20 +443,22 @@ impl FormatAdvisor {
             "advisor/train_scenario",
             corpus = corpus.records.len() as u64
         );
+        Self::train_with_extra(corpus, env, budget, scenario.descriptor(env).to_vec())
+    }
+
+    /// The shared body of [`FormatAdvisor::train`] (empty `extra`) and
+    /// [`FormatAdvisor::train_for_scenario`].
+    fn train_with_extra(
+        corpus: &LabeledCorpus,
+        env: Env,
+        budget: SearchBudget,
+        extra: Vec<f64>,
+    ) -> FormatAdvisor {
         let set = FeatureSet::Important;
         let formats = Format::ALL.to_vec();
-        let extra: Vec<f64> = scenario.descriptor(env).to_vec();
 
         let ctask = ClassificationTask::build_with_extra(corpus, env, &formats, set, true, &extra);
-        let mut classifier = GbtClassifier::new(GbtParams {
-            n_estimators: match budget {
-                SearchBudget::Quick => 60,
-                SearchBudget::Paper => 200,
-            },
-            max_depth: 6,
-            learning_rate: 0.1,
-            ..GbtParams::default()
-        });
+        let mut classifier = advisor_gbt(budget);
         classifier.fit(&ctask.x, &ctask.y, formats.len());
 
         let rtask = RegressionTask::build_with_extra(corpus, env, &formats, set, &extra);
@@ -680,20 +732,12 @@ impl FormatAdvisor {
     /// live objects — so every candidate passes the same envelope
     /// validation a cold-booted artifact would.
     pub fn to_artifact_bytes(&self) -> Result<Vec<u8>, ArtifactError> {
-        let payload =
-            serde_json::to_string(self).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        let artifact = Artifact {
-            magic: ARTIFACT_MAGIC.to_string(),
-            artifact_version: ARTIFACT_VERSION,
-            model_version: self.model_version,
-            feature_arity: self.feature_arity(),
-            kind: ARTIFACT_KIND_FORMAT.to_string(),
-            checksum: checksum_of(&payload),
-            payload,
-        };
-        serde_json::to_string(&artifact)
-            .map(String::into_bytes)
-            .map_err(|e| ArtifactError::Malformed(e.to_string()))
+        Artifact::seal(
+            self,
+            ARTIFACT_KIND_FORMAT,
+            self.model_version,
+            self.feature_arity(),
+        )
     }
 
     /// The checksum this advisor's envelope would carry — the same string
@@ -709,34 +753,12 @@ impl FormatAdvisor {
     /// [`FormatAdvisor::load`]: magic, envelope version, checksum, GPU
     /// model version.
     pub fn from_artifact_bytes(bytes: &[u8]) -> Result<(FormatAdvisor, String), ArtifactError> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|e| ArtifactError::Malformed(format!("not utf-8: {e}")))?;
-        let artifact: Artifact =
-            serde_json::from_str(text).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        artifact.validate_common()?;
         // Kind gate: a dataflow payload must never be parsed as a format
-        // advisor. Legacy kind-less envelopes read as "format" and pass.
-        if artifact.kind_or_default() != ARTIFACT_KIND_FORMAT {
-            return Err(ArtifactError::KindMismatch {
-                artifact: artifact.kind,
-                expected: ARTIFACT_KIND_FORMAT,
-            });
-        }
-        let advisor: FormatAdvisor = serde_json::from_str(&artifact.payload)
-            .map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        // Arity gate (feature-vector v2): the envelope must record the
-        // exact input width the payload's model consumes. Legacy envelopes
-        // record nothing (read as 0) and are rejected here — a 7-feature
-        // model must never be fed a 15-column scenario row, or vice versa,
-        // by silent misindexing.
-        let expected = advisor.feature_arity();
-        if artifact.feature_arity != expected {
-            return Err(ArtifactError::FeatureArityMismatch {
-                artifact: artifact.feature_arity,
-                expected,
-            });
-        }
-        Ok((advisor, artifact.checksum))
+        // advisor; legacy kind-less envelopes read as "format" and pass.
+        // Arity gate (feature-vector v2): legacy envelopes record no arity
+        // (read as 0) and are rejected, so a 7-feature model is never fed
+        // a 15-column scenario row, or vice versa, by silent misindexing.
+        Artifact::open(bytes, ARTIFACT_KIND_FORMAT, FormatAdvisor::feature_arity)
     }
 
     /// Persist the trained advisor as a versioned, checksummed artifact.
@@ -789,21 +811,8 @@ impl FormatAdvisor {
     /// to catch corruption.
     pub fn inspect_artifact(path: &std::path::Path) -> Result<ArtifactInfo, ArtifactError> {
         let text = std::fs::read_to_string(path)?;
-        let artifact: Artifact =
-            serde_json::from_str(&text).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        if artifact.magic != ARTIFACT_MAGIC {
-            return Err(ArtifactError::WrongMagic(artifact.magic));
-        }
-        if artifact.artifact_version != ARTIFACT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion(artifact.artifact_version));
-        }
-        let found = checksum_of(&artifact.payload);
-        if found != artifact.checksum {
-            return Err(ArtifactError::ChecksumMismatch {
-                expected: artifact.checksum,
-                found,
-            });
-        }
+        let artifact = Artifact::parse(&text)?;
+        artifact.validate_integrity()?;
         Ok(ArtifactInfo {
             artifact_version: artifact.artifact_version,
             model_version: artifact.model_version,

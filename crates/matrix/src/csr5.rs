@@ -61,21 +61,6 @@ impl Csr5Config {
     }
 }
 
-/// Borrowed view of CSR5 internals shared with the parallel driver.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Csr5Raw<'a, T> {
-    pub cfg: Csr5Config,
-    pub cols_t: &'a [u32],
-    pub vals_t: &'a [T],
-    pub tile_ptr: &'a [u32],
-    pub bit_flags: &'a [u64],
-    pub starts: &'a [u32],
-    pub starts_ptr: &'a [u32],
-    pub tail_cols: &'a [u32],
-    pub tail_vals: &'a [T],
-    pub tail_rows: &'a [u32],
-}
-
 /// CSR5 matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr5Matrix<T> {
@@ -252,10 +237,10 @@ impl<T: Scalar> Csr5Matrix<T> {
             + (self.starts.len() + self.starts_ptr.len()) * idx
     }
 
-    /// Per-tile partial result: contribution to the row open at tile entry,
-    /// plus fully-contained row sums, plus the trailing open sum.
-    /// Used by both the sequential and parallel SpMV drivers.
-    pub(crate) fn tile_partials(&self, t: usize, x: &[T], y: &mut [T]) -> (T, T) {
+    /// Per-tile partial result: fully-contained and trailing row sums go
+    /// straight into `y`; the returned head is the contribution to the row
+    /// open at tile entry.
+    fn tile_partials(&self, t: usize, x: &[T], y: &mut [T]) -> T {
         let cfg = self.cfg;
         let tile_nnz = cfg.tile_nnz();
         let base = t * tile_nnz;
@@ -282,17 +267,15 @@ impl<T: Scalar> Csr5Matrix<T> {
             }
         }
         // Trailing open segment: flush into its row if the tile contains a
-        // row start, otherwise the whole tile is interior to one row and the
-        // entire sum carries out through `head`.
+        // row start (later tiles only ever *add* to rows), otherwise the
+        // whole tile is interior to one row and the entire sum carries out
+        // through `head`.
         match cur_row {
             Some(r) => {
-                // The row is still open across the tile boundary; report the
-                // open sum so the driver can decide (sequentially we can add
-                // it directly since later tiles only ever *add* to rows).
                 y[r] += acc;
-                (head, T::ZERO)
+                head
             }
-            None => (head + acc, T::ZERO),
+            None => head + acc,
         }
     }
 
@@ -305,16 +288,10 @@ impl<T: Scalar> Csr5Matrix<T> {
         assert_eq!(x.len(), self.n_cols, "x length must equal n_cols");
         assert_eq!(y.len(), self.n_rows, "y length must equal n_rows");
         y.fill(T::ZERO);
-        self.spmv_accumulate(x, y);
-    }
-
-    /// Accumulating SpMV used by both `spmv` and the parallel driver:
-    /// requires `y` pre-zeroed (or holding values to accumulate onto).
-    pub(crate) fn spmv_accumulate(&self, x: &[T], y: &mut [T]) {
         // The row "open" at the start of tile t is the last row started at or
         // before the tile, i.e. tile_ptr[t] unless no row has started yet.
         for t in 0..self.n_tiles() {
-            let (head, _) = self.tile_partials(t, x, y);
+            let head = self.tile_partials(t, x, y);
             // Calibration: the head partial belongs to the row open when the
             // tile began, which is exactly tile_ptr[t] (the row of the tile's
             // first entry: if that entry starts a row, head is zero anyway).
@@ -340,22 +317,6 @@ impl<T: Scalar> Csr5Matrix<T> {
     /// Column indices of the CSR-ordered tail (same purpose).
     pub fn tail_cols_view(&self) -> &[u32] {
         &self.tail_cols
-    }
-
-    /// Raw accessors for the parallel driver and the GPU cost model.
-    pub(crate) fn raw(&self) -> Csr5Raw<'_, T> {
-        Csr5Raw {
-            cfg: self.cfg,
-            cols_t: &self.cols_t,
-            vals_t: &self.vals_t,
-            tile_ptr: &self.tile_ptr,
-            bit_flags: &self.bit_flags,
-            starts: &self.starts,
-            starts_ptr: &self.starts_ptr,
-            tail_cols: &self.tail_cols,
-            tail_vals: &self.tail_vals,
-            tail_rows: &self.tail_rows,
-        }
     }
 
     /// Convert back to CSR (un-transposing the tiles).

@@ -143,27 +143,30 @@ impl Executor {
             (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(n);
-        // Worker bodies catch their own panics, so the scope result is
-        // always Ok; should that invariant ever break, the error branch
-        // below degrades the missing slots instead of panicking here.
-        let _ = crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| {
-                    let mut scratch = init();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+        // Cell panics are caught inside the worker, but a panic outside a
+        // cell (in `init`) ends that worker and makes the scope re-raise it
+        // on join. The outer catch contains that too, so slots no worker
+        // filled degrade to a per-slot error below instead of a panic here.
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| {
+                        let mut scratch = init();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            let out = run_cell(&mut scratch, i);
+                            if out.is_err() {
+                                scratch = init();
+                            }
+                            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
                         }
-                        let out = run_cell(&mut scratch, i);
-                        if out.is_err() {
-                            scratch = init();
-                        }
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                    }
-                });
-            }
-        });
+                    });
+                }
+            })
+        }));
         slots
             .into_iter()
             .enumerate()
@@ -325,6 +328,24 @@ mod tests {
         );
         assert!(out[3].is_err());
         assert_eq!(*out[4].as_ref().unwrap(), 0, "scratch was rebuilt");
+    }
+
+    #[test]
+    fn panicking_init_leaves_every_slot_worker_terminated() {
+        // A panic outside any cell ends its worker; the call still returns
+        // and every slot no worker filled reports the termination.
+        let exec = Executor::new(2);
+        let out = exec.try_map_with(5, || -> usize { panic!("init failed") }, |_, i| i);
+        assert_eq!(out.len(), 5);
+        for (i, r) in out.into_iter().enumerate() {
+            assert_eq!(
+                r,
+                Err(CellPanic {
+                    index: i,
+                    message: "worker terminated before producing this cell".to_string(),
+                })
+            );
+        }
     }
 
     #[test]
